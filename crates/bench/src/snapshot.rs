@@ -66,6 +66,9 @@ pub struct SolverRollup {
     /// Solves seeded from a warm state instead of a cold zero guess
     /// (0 on snapshots predating warm starting).
     pub warm_started_solves: u64,
+    /// The subset of `warm_started_solves` seeded by a cross-point
+    /// donor state (0 on snapshots predating the split).
+    pub donor_warm_starts: u64,
 }
 
 impl SolverRollup {
@@ -90,6 +93,7 @@ impl SolverRollup {
             factorizations: stats.factorizations,
             refactorizations: stats.refactorizations,
             warm_started_solves: stats.warm_started_solves,
+            donor_warm_starts: stats.donor_warm_starts,
         }
     }
 
@@ -308,8 +312,8 @@ impl PerfSnapshot {
             push_num(&mut out, s.distance_iters_correlation);
             out.push_str(&format!(
                 ", \"factorizations\": {}, \"refactorizations\": {}, \
-                 \"warm_started_solves\": {}",
-                s.factorizations, s.refactorizations, s.warm_started_solves
+                 \"warm_started_solves\": {}, \"donor_warm_starts\": {}",
+                s.factorizations, s.refactorizations, s.warm_started_solves, s.donor_warm_starts
             ));
             out.push_str("}}");
         }
@@ -382,6 +386,7 @@ impl PerfSnapshot {
                     factorizations: num("factorizations") as u64,
                     refactorizations: num("refactorizations") as u64,
                     warm_started_solves: num("warm_started_solves") as u64,
+                    donor_warm_starts: num("donor_warm_starts") as u64,
                 },
             });
         }
@@ -653,6 +658,7 @@ mod tests {
                     factorizations: 12,
                     refactorizations: 7988,
                     warm_started_solves: 944,
+                    donor_warm_starts: 120,
                 },
             }],
         }
@@ -704,6 +710,7 @@ mod tests {
         assert_eq!(d.solver.factorizations, 12);
         assert_eq!(d.solver.refactorizations, 7988);
         assert_eq!(d.solver.warm_started_solves, 944);
+        assert_eq!(d.solver.donor_warm_starts, 120);
     }
 
     #[test]
@@ -728,6 +735,7 @@ mod tests {
         assert_eq!(s.factorizations, 0);
         assert_eq!(s.refactorizations, 0);
         assert_eq!(s.warm_started_solves, 0);
+        assert_eq!(s.donor_warm_starts, 0);
     }
 
     #[test]

@@ -133,11 +133,13 @@ SOLVER (all commands):
                       refactorizes numerically between Newton
                       iterations; both backends converge to the same
                       operating points.
-  --no-warm-start     Disable block-synchronous warm starting during
-                      characterization (every Sobol point then chains
-                      from its previous grid point only). Warm starts
-                      are deterministic — results stay bit-identical
-                      for any --threads either way.
+  --no-warm-start     Disable cross-point donors during
+                      characterization: no Sobol point is seeded from
+                      its nearest already-solved neighbor. The in-sweep
+                      predictors (previous grid point, secant and
+                      quadratic extrapolation) and the converged-on-
+                      arrival exit still run. Results stay
+                      bit-identical for any --threads either way.
 
 SOLVER OBSERVATORY (characterize and train):
   --solver-traces     Record Newton convergence traces (sampled into
@@ -387,7 +389,8 @@ fn export_metrics(
         .set(solver.longest_failure_streak as f64);
     // Sparse-path reuse counters: full pivot-searching factorizations
     // vs. cheap structure-reusing refactorizations, symbolic-pattern
-    // cache traffic, and solves seeded from a warm state.
+    // cache traffic, solves seeded from a warm state, and the subset
+    // of those seeded by a cross-point donor.
     registry
         .counter("spice_factorizations")
         .add(solver.factorizations);
@@ -403,6 +406,9 @@ fn export_metrics(
     registry
         .counter("spice_warm_started_solves")
         .add(solver.warm_started_solves);
+    registry
+        .counter("spice_donor_warm_starts")
+        .add(solver.donor_warm_starts);
     // Conditioning telemetry is populated only while --solver-traces
     // observation is enabled; the merges are no-ops otherwise.
     registry
@@ -507,9 +513,10 @@ fn configure_threads(args: &Args) -> Result<(), String> {
 }
 
 /// Applies `--solver-backend` and `--no-warm-start` to the process-wide
-/// solver defaults before any command runs. Neither changes results —
-/// both backends converge to the same operating points and warm starts
-/// are chosen deterministically — only how the work is done.
+/// solver defaults before any command runs. Neither changes results
+/// beyond the solver tolerance — both backends converge to the same
+/// operating points, and donor warm starts only move the Newton
+/// starting point — only how the work is done.
 fn configure_solver(args: &Args) -> Result<(), String> {
     if let Some(name) = args.get("solver-backend") {
         let backend = pnc_spice::SolverBackend::parse(name).ok_or_else(|| {

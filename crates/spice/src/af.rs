@@ -385,8 +385,9 @@ fn solved_state(circuit: &Circuit, op: &crate::dc::OperatingPoint) -> Vec<f64> {
 /// candidate with the smallest assembled residual wins — one cheap
 /// Jacobian-free assembly each, no factorizations. Every candidate
 /// and the ranking are pure functions of the sweep inputs, so solve
-/// trajectories stay bit-identical for any thread count. Returns one
-/// `(operating point, solved state)` per input.
+/// trajectories stay bit-identical for any thread count. A solve whose
+/// winner is donor-derived counts as a `donor_warm_starts` solve.
+/// Returns one `(operating point, solved state)` per input.
 fn sweep_with_states(
     c: &Circuit,
     src: usize,
@@ -404,6 +405,8 @@ fn sweep_with_states(
     for (k, &v) in inputs.iter().enumerate() {
         swept.set_vsource(src, v)?;
         let mut cands: Vec<Vec<f64>> = Vec::with_capacity(5);
+        // Candidates from index `own` on are donor-derived.
+        let mut own = 0;
         if let Some(prev) = &chain {
             cands.push(prev.clone());
             if let Some(prev2) = &chain2 {
@@ -419,6 +422,7 @@ fn sweep_with_states(
                     );
                 }
             }
+            own = cands.len();
             if let (Some(dk), Some(dkm1)) = (
                 donor.and_then(|d| d.get(k)),
                 k.checked_sub(1).and_then(|j| donor.and_then(|d| d.get(j))),
@@ -433,7 +437,11 @@ fn sweep_with_states(
         } else if let Some(dk) = donor.and_then(|d| d.get(k)) {
             cands.push(dk.clone());
         }
-        let warm = crate::dc::best_warm_candidate(&swept, &cands).map(|i| cands[i].as_slice());
+        let best = crate::dc::best_warm_candidate(&swept, &cands);
+        if best.is_some_and(|i| i >= own) {
+            crate::stats::record_donor_warm_start();
+        }
+        let warm = best.map(|i| cands[i].as_slice());
         let op = if trace {
             solve_dc_traced(&swept, &cfg, warm, tel)?
         } else {

@@ -34,6 +34,8 @@ static PATTERN_HITS: AtomicU64 = AtomicU64::new(0);
 static PATTERN_MISSES: AtomicU64 = AtomicU64::new(0);
 // lint: allow(L003, reason = "process-wide monotonic counters aggregated across solver threads; read out once per run")
 static WARM_STARTED_SOLVES: AtomicU64 = AtomicU64::new(0);
+// lint: allow(L003, reason = "process-wide monotonic counters aggregated across solver threads; read out once per run")
+static DONOR_WARM_STARTS: AtomicU64 = AtomicU64::new(0);
 
 /// Per-solve Newton iteration counts. A full-scale bench run performs
 /// millions of solves, so the distribution lives in a log-bucketed
@@ -79,8 +81,12 @@ pub struct SolverStatsSnapshot {
     /// Circuit-pattern cache misses (pattern built + analyzed).
     pub pattern_misses: u64,
     /// Solves that started from a caller-provided warm state instead
-    /// of a cold zero guess.
+    /// of a cold zero guess, whatever the predictor that supplied it.
     pub warm_started_solves: u64,
+    /// The subset of `warm_started_solves` whose winning predictor came
+    /// from a cross-point donor state (the part `--no-warm-start`
+    /// turns off).
+    pub donor_warm_starts: u64,
 }
 
 impl SolverStatsSnapshot {
@@ -97,6 +103,7 @@ impl SolverStatsSnapshot {
             .with_u64("pattern_hits", self.pattern_hits)
             .with_u64("pattern_misses", self.pattern_misses)
             .with_u64("warm_started_solves", self.warm_started_solves)
+            .with_u64("donor_warm_starts", self.donor_warm_starts)
     }
 }
 
@@ -113,6 +120,7 @@ pub fn snapshot() -> SolverStatsSnapshot {
         pattern_hits: PATTERN_HITS.load(Ordering::Relaxed),
         pattern_misses: PATTERN_MISSES.load(Ordering::Relaxed),
         warm_started_solves: WARM_STARTED_SOLVES.load(Ordering::Relaxed),
+        donor_warm_starts: DONOR_WARM_STARTS.load(Ordering::Relaxed),
     }
 }
 
@@ -173,6 +181,7 @@ pub fn take() -> SolverStatsSnapshot {
         pattern_hits: PATTERN_HITS.swap(0, Ordering::Relaxed),
         pattern_misses: PATTERN_MISSES.swap(0, Ordering::Relaxed),
         warm_started_solves: WARM_STARTED_SOLVES.swap(0, Ordering::Relaxed),
+        donor_warm_starts: DONOR_WARM_STARTS.swap(0, Ordering::Relaxed),
     }
 }
 
@@ -228,6 +237,11 @@ pub(crate) fn record_pattern_miss() {
 /// A solve was seeded from a warm state.
 pub(crate) fn record_warm_start() {
     WARM_STARTED_SOLVES.fetch_add(1, Ordering::Relaxed);
+}
+
+/// A warm-started solve's winning predictor came from a donor state.
+pub(crate) fn record_donor_warm_start() {
+    DONOR_WARM_STARTS.fetch_add(1, Ordering::Relaxed);
 }
 
 pub(crate) fn record_failure() {
@@ -306,6 +320,7 @@ mod tests {
             pattern_hits: 9,
             pattern_misses: 1,
             warm_started_solves: 5,
+            donor_warm_starts: 3,
         }
         .to_event();
         assert_eq!(e.name, "spice_stats");
@@ -319,6 +334,7 @@ mod tests {
         assert_eq!(e.get_u64("pattern_hits"), Some(9));
         assert_eq!(e.get_u64("pattern_misses"), Some(1));
         assert_eq!(e.get_u64("warm_started_solves"), Some(5));
+        assert_eq!(e.get_u64("donor_warm_starts"), Some(3));
     }
 
     #[test]

@@ -6,13 +6,10 @@
 //! tolerated up to a small fraction (they are rare with the smooth nEGT
 //! model but can occur at extreme design corners).
 
-use crate::neighbors::NeighborGrid;
 use crate::{atlas, SurrogateError};
 use pnc_linalg::{Matrix, SobolSequence};
 use pnc_parallel::ExecutorHandle;
-use pnc_spice::af::{
-    input_grid, mean_power_with_states, power_curve, transfer_curve_with_states,
-};
+use pnc_spice::af::{input_grid, mean_power_with_states, power_curve, transfer_curve_with_states};
 use pnc_spice::{observe, AfDesign, AfKind};
 use pnc_telemetry::{Event, Level, Telemetry};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,6 +33,29 @@ pub fn set_warm_start(enabled: bool) {
 /// Whether cross-point warm starting is active.
 pub fn warm_start_enabled() -> bool {
     WARM_START.load(Ordering::Relaxed)
+}
+
+/// Nearest of `points` to `q` by Euclidean log-space distance:
+/// `(index, distance)`, ties to the smallest index, `None` when empty.
+/// Both the warm-start donor search and the atlas `nn_distance` column
+/// use it. A plain linear scan: at paper scale (10⁴ points, 6-D) that
+/// is ~3·10⁸ flops per sweep, small next to the SPICE solves, and —
+/// unlike a bucket grid, which probes (2r+1)^dim buckets per query —
+/// its cost does not grow exponentially with the design dimension.
+pub(crate) fn nearest(points: &[Vec<f64>], q: &[f64]) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, p) in points.iter().enumerate() {
+        let d = p
+            .iter()
+            .zip(q)
+            .map(|(x, y)| (x - y) * (x - y))
+            .sum::<f64>()
+            .sqrt();
+        if best.is_none_or(|(_, bd)| d.total_cmp(&bd).is_lt()) {
+            best = Some((i, d));
+        }
+    }
+    best
 }
 
 /// Emits a `sobol_progress` debug event roughly every tenth of the
@@ -81,7 +101,6 @@ fn characterize_blocked<T: Send>(
     kind: AfKind,
     n: usize,
     raw: &Matrix,
-    log_bounds: &[(f64, f64)],
     tel: &Telemetry,
     simulate: &(impl Fn(&AfDesign, Option<&[Vec<f64>]>) -> Option<(T, Vec<Vec<f64>>)> + Sync),
     mut keep: impl FnMut(&[f64], T),
@@ -101,17 +120,10 @@ fn characterize_blocked<T: Send>(
         .map(|q| q.iter().map(|&v| v.ln()).collect())
         .collect();
 
-    // One bucket-grid cell ≈ an eighth of the widest log-bounds span:
-    // coarse enough that shells stay shallow, fine enough that a
-    // bucket holds a small fraction of the sweep.
-    let span = log_bounds
-        .iter()
-        .map(|&(lo, hi)| (hi - lo).abs())
-        .fold(0.0f64, f64::max);
-    let cell = if span > 0.0 { span / 8.0 } else { 1.0 };
-    let mut donor_grid = NeighborGrid::new(cell);
+    // Log-space coordinates and solved states of the donors: the
+    // successful points of completed blocks, in index order.
+    let mut donor_lnqs: Vec<Vec<f64>> = Vec::new();
     let mut donor_states: Vec<Vec<Vec<f64>>> = Vec::new();
-    let mut atlas_grid = NeighborGrid::new(cell);
 
     let mut kept = 0usize;
     let mut failed = 0usize;
@@ -121,7 +133,7 @@ fn characterize_blocked<T: Send>(
         let block: Vec<(usize, Option<usize>)> = (start..end)
             .map(|i| {
                 let donor = if warm_on {
-                    donor_grid.nearest(&lnqs[i]).map(|(idx, _)| idx)
+                    nearest(&donor_lnqs, &lnqs[i]).map(|(idx, _)| idx)
                 } else {
                     None
                 };
@@ -145,10 +157,9 @@ fn characterize_blocked<T: Send>(
         for (offset, (res, window)) in results.into_iter().enumerate() {
             let i = start + offset;
             if atlas_on {
-                // Query-before-insert over *all* earlier points keeps
-                // nn_distance bit-identical to the linear scan this
-                // grid replaced.
-                let nn = atlas_grid.nearest_distance(&lnqs[i]);
+                // nn_distance looks at *all* earlier points, failed
+                // ones included (-1.0 for the first point).
+                let nn = nearest(&lnqs[..i], &lnqs[i]).map_or(-1.0, |(_, d)| d);
                 atlas::record(atlas::AtlasPoint::from_window(
                     i as u64,
                     target,
@@ -158,7 +169,6 @@ fn characterize_blocked<T: Send>(
                     nn,
                     res.is_none(),
                 ));
-                atlas_grid.insert(lnqs[i].clone());
             }
             match res {
                 Some((value, states)) => {
@@ -179,7 +189,7 @@ fn characterize_blocked<T: Send>(
         if warm_on {
             for (offset, states) in block_states.into_iter().enumerate() {
                 if let Some(s) = states {
-                    donor_grid.insert(lnqs[start + offset].clone());
+                    donor_lnqs.push(lnqs[start + offset].clone());
                     donor_states.push(s);
                 }
             }
@@ -255,19 +265,11 @@ impl AfPowerDataset {
         let simulate = |design: &AfDesign, donor: Option<&[Vec<f64>]>| {
             mean_power_with_states(design, grid_points, donor, tel).ok()
         };
-        let (kept, failed) = characterize_blocked(
-            "power",
-            kind,
-            n,
-            &raw,
-            &log_bounds,
-            tel,
-            &simulate,
-            |q, p| {
+        let (kept, failed) =
+            characterize_blocked("power", kind, n, &raw, tel, &simulate, |q, p| {
                 designs.row_slice_mut(power.len()).copy_from_slice(q);
                 power.push(p);
-            },
-        );
+            });
         tel.emit(|| {
             Event::new("characterization", Level::Info)
                 .with_str("target", "power")
@@ -386,7 +388,6 @@ impl AfTransferDataset {
             kind,
             n,
             &raw,
-            &log_bounds,
             tel,
             &simulate,
             |q, curve: Vec<f64>| {
@@ -541,6 +542,60 @@ mod tests {
         let fp = points[0].fingerprint;
         assert!(fp != 0);
         assert!(points.iter().all(|p| p.fingerprint == fp));
+    }
+
+    #[test]
+    fn nearest_ties_go_to_the_smallest_index() {
+        assert_eq!(nearest(&[], &[0.0, 0.0]), None);
+        let points = vec![vec![3.0, 0.0], vec![1.0, 0.0], vec![-1.0, 0.0]];
+        assert_eq!(nearest(&points, &[0.0, 0.0]), Some((1, 1.0)));
+        assert_eq!(nearest(&points, &[2.5, 0.0]), Some((0, 0.5)));
+    }
+
+    #[test]
+    fn donors_match_brute_force_over_completed_blocks() {
+        // A real 6-D p-tanh sweep of 8 blocks. Each point logs its log
+        // coordinates, its own solved states and the donor states it
+        // got; a brute-force search over the successful points of
+        // earlier blocks must pick the same donor.
+        let (kind, n) = (AfKind::PTanh, 8 * WARM_BLOCK);
+        let log_bounds: Vec<(f64, f64)> = kind
+            .bounds()
+            .iter()
+            .map(|&(lo, hi)| (lo.ln(), hi.ln()))
+            .collect();
+        let mut sobol = SobolSequence::new(log_bounds.len()).unwrap();
+        sobol.burn(1);
+        let raw = sobol.sample_scaled(n, &log_bounds);
+        type States = Option<Vec<Vec<f64>>>;
+        let log = std::sync::Mutex::new(Vec::<(Vec<f64>, States, States)>::new());
+        let tel = Telemetry::disabled();
+        let simulate = |design: &AfDesign, donor: Option<&[Vec<f64>]>| {
+            let r = mean_power_with_states(design, 5, donor, &tel).ok();
+            let lnq = design.q().iter().map(|v| v.ln()).collect();
+            let own = r.as_ref().map(|(_, s)| s.clone());
+            log.lock()
+                .unwrap()
+                .push((lnq, own, donor.map(<[_]>::to_vec)));
+            r
+        };
+        characterize_blocked("power", kind, n, &raw, &tel, &simulate, |_, _| {});
+        let log = log.into_inner().unwrap();
+        let pts: Vec<_> = (0..n)
+            .map(|i| {
+                let lnq: Vec<f64> = raw.row_slice(i).iter().map(|x| x.exp().ln()).collect();
+                log.iter().find(|p| p.0 == lnq).unwrap()
+            })
+            .collect();
+        let dist =
+            |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| (x - y).powi(2)).sum::<f64>();
+        for (i, p) in pts.iter().enumerate() {
+            let want = (0..i / WARM_BLOCK * WARM_BLOCK)
+                .filter(|&j| pts[j].1.is_some())
+                .min_by(|&a, &b| dist(&pts[a].0, &p.0).total_cmp(&dist(&pts[b].0, &p.0)));
+            assert!(i < WARM_BLOCK || want.is_some());
+            assert_eq!(p.2, want.and_then(|j| pts[j].1.clone()), "point {i}");
+        }
     }
 
     #[test]
