@@ -76,11 +76,22 @@ pub fn assemble(circuit: &Circuit, x: &[f64]) -> NewtonSystem {
     let n = unknown_count(circuit);
     let mut j = Matrix::zeros(n, n);
     let mut f = vec![0.0; n];
-    assemble_into(circuit, x, &mut DenseSink(&mut j), &mut f);
+    assemble_dense_into(circuit, x, &mut j, &mut f);
     NewtonSystem {
         jacobian: j,
         residual: f,
     }
+}
+
+/// [`assemble`] into preallocated buffers, which are zeroed here.
+///
+/// # Panics
+///
+/// Panics when the buffers do not match `unknown_count(circuit)`.
+pub(crate) fn assemble_dense_into(circuit: &Circuit, x: &[f64], j: &mut Matrix, f: &mut [f64]) {
+    j.as_mut_slice().fill(0.0);
+    f.fill(0.0);
+    assemble_into(circuit, x, &mut DenseSink(j), f);
 }
 
 /// Assembly walk shared by every backend: stamps the Jacobian through
@@ -91,7 +102,12 @@ pub fn assemble(circuit: &Circuit, x: &[f64]) -> NewtonSystem {
 ///
 /// Panics when `x.len()` or `f.len()` differ from
 /// `unknown_count(circuit)`.
-pub(crate) fn assemble_into<S: JacobianSink>(circuit: &Circuit, x: &[f64], j: &mut S, f: &mut [f64]) {
+pub(crate) fn assemble_into<S: JacobianSink>(
+    circuit: &Circuit,
+    x: &[f64],
+    j: &mut S,
+    f: &mut [f64],
+) {
     let n_nodes = circuit.node_count() - 1;
     let n = unknown_count(circuit);
     assert_eq!(x.len(), n, "assemble: guess length mismatch");

@@ -6,7 +6,7 @@
 //! power delivered by the sources (energy conservation — asserted in
 //! tests).
 
-use crate::dc::{voltage_of, OperatingPoint};
+use crate::dc::OperatingPoint;
 use crate::netlist::{Circuit, Element};
 
 /// Power report for one circuit at one operating point.
@@ -31,7 +31,7 @@ pub fn power_report(circuit: &Circuit, op: &OperatingPoint) -> PowerReport {
     for element in circuit.elements() {
         let p = match *element {
             Element::Resistor { a, b, ohms } => {
-                let dv = voltage_of(op, a) - voltage_of(op, b);
+                let dv = op.voltage(a) - op.voltage(b);
                 let p = dv * dv / ohms;
                 dissipated_watts += p;
                 p
@@ -41,7 +41,7 @@ pub fn power_report(circuit: &Circuit, op: &OperatingPoint) -> PowerReport {
                 // sources therefore have negative branch current.
                 let i = op.source_current(src_idx);
                 src_idx += 1;
-                let v = voltage_of(op, plus) - voltage_of(op, minus);
+                let v = op.voltage(plus) - op.voltage(minus);
                 let p = -v * i;
                 delivered_watts += p;
                 p
@@ -50,7 +50,7 @@ pub fn power_report(circuit: &Circuit, op: &OperatingPoint) -> PowerReport {
             Element::ISource { plus, minus, amps } => {
                 // Delivers when pushing current from low to high
                 // potential externally.
-                let v = voltage_of(op, plus) - voltage_of(op, minus);
+                let v = op.voltage(plus) - op.voltage(minus);
                 let p = -v * amps;
                 delivered_watts += p;
                 p
@@ -60,7 +60,7 @@ pub fn power_report(circuit: &Circuit, op: &OperatingPoint) -> PowerReport {
                 // never as printed-network dissipation.
                 let i = op.source_current(src_idx);
                 src_idx += 1;
-                let v = voltage_of(op, plus) - voltage_of(op, minus);
+                let v = op.voltage(plus) - op.voltage(minus);
                 let p = -v * i;
                 delivered_watts += p;
                 p
@@ -73,9 +73,9 @@ pub fn power_report(circuit: &Circuit, op: &OperatingPoint) -> PowerReport {
                 l,
                 model,
             } => {
-                let vg = voltage_of(op, gate);
-                let vd = voltage_of(op, drain);
-                let vs = voltage_of(op, source);
+                let vg = op.voltage(gate);
+                let vd = op.voltage(drain);
+                let vs = op.voltage(source);
                 let id = model.eval(vg, vd, vs, w, l).id_amps;
                 let p = id * (vd - vs);
                 dissipated_watts += p;

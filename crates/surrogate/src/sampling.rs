@@ -81,6 +81,10 @@ fn emit_progress(
     }
 }
 
+/// One characterized point: its value and per-grid-point solved
+/// states, or `None` when a solve failed.
+type Simulated<T> = Option<(T, Vec<Vec<f64>>)>;
+
 /// Shared block-synchronous characterization driver.
 ///
 /// Sobol points are processed in [`WARM_BLOCK`]-sized blocks: donors
@@ -102,7 +106,7 @@ fn characterize_blocked<T: Send>(
     n: usize,
     raw: &Matrix,
     tel: &Telemetry,
-    simulate: &(impl Fn(&AfDesign, Option<&[Vec<f64>]>) -> Option<(T, Vec<Vec<f64>>)> + Sync),
+    simulate: &(impl Fn(&AfDesign, Option<&[Vec<f64>]>) -> Simulated<T> + Sync),
     mut keep: impl FnMut(&[f64], T),
 ) -> (usize, usize) {
     let fanout_parent = tel.profiler().current_span_id();
@@ -141,7 +145,7 @@ fn characterize_blocked<T: Send>(
             })
             .collect();
 
-        let results: Vec<(Option<(T, Vec<Vec<f64>>)>, observe::PointSolveStats)> =
+        let results: Vec<(Simulated<T>, observe::PointSolveStats)> =
             ExecutorHandle::get().par_map(&block, |_, &(i, donor)| {
                 let design =
                     // lint: allow(L001, reason = "Sobol points are scaled into the design bounds before exponentiation")
